@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod keeper;
 pub mod search;
 pub mod termination;
 pub mod thresholds;

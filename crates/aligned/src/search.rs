@@ -11,26 +11,32 @@
 //! * products are extended only by columns *after* their largest member
 //!   (canonical combinatorial order), which enumerates every column set at
 //!   most once — the paper's `w ∉ A_v` rule plus duplicate suppression;
-//! * the per-iteration "hopefuls" list keeps the H heaviest candidates in
-//!   a bounded min-heap, exactly as in the paper (a priority queue of
-//!   size O(n));
+//! * the per-iteration "hopefuls" list keeps the H heaviest candidates,
+//!   as the paper's priority queue of size O(n) does, in an exact
+//!   weight-bucketed keeper (the private `keeper` module): a product weight never
+//!   exceeds the router count, so one bucket per weight replaces the
+//!   binary heap with the same set, order and eviction bar;
+//! * every scan — the 2-product pair scan, the per-hopeful extensions
+//!   and the expansion sweep — is one batched AND-popcount kernel call
+//!   over a contiguous column range ([`ColMatrix::and_weights_into`]),
+//!   and only candidates at or above the keeper's bar are offered;
 //! * the candidate fan-outs (all 2-products, per-hopeful extensions, the
 //!   heaviest-column screen, and the full-matrix expansion sweep) are cut
 //!   into independent column shards ([`ComputeBudget::effective_shards`])
 //!   executed by scoped worker threads per [`SearchConfig::compute`].
 //!   Candidates are ranked by the *full* `(weight, parent, column)`
-//!   tuple — a total order — so each shard's bounded heap merged into a
-//!   global bounded heap yields exactly the canonical top-H set. The
-//!   search result is therefore bit-identical for every thread count
-//!   *and* every shard count (see the determinism tests).
+//!   tuple — a total order — so each shard's keeper merged into a
+//!   global keeper yields exactly the canonical top-H set. The search
+//!   result is therefore bit-identical for every thread count *and*
+//!   every shard count (see the determinism tests).
 
+use crate::keeper::{Candidate, CandidateKeeper, TopKeeper};
 use crate::termination::{stop_point, TerminationConfig};
 use crate::thresholds::ln_natural_occurrence;
-use dcs_bitmap::words::{and_weight, and_weight_many_into, iter_ones, weight};
+use dcs_bitmap::words::{iter_ones, weight};
 use dcs_bitmap::ColMatrix;
 use dcs_parallel::{map_chunks, run_jobs, split_range, ComputeBudget};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Reusable buffers for repeated refined detections (one per epoch).
@@ -45,9 +51,9 @@ use std::time::Instant;
 pub struct SearchScratch {
     /// Column indices ranked by descending weight (truncated to n′).
     order: Vec<usize>,
-    /// Per-shard screening buffers: shard-local top-n′ candidates,
-    /// merged into `order` before the global cut.
-    shard_orders: Vec<Vec<usize>>,
+    /// The screening histogram: per-weight column counts, then output
+    /// slots.
+    weight_slots: Vec<usize>,
     /// The screened working matrix (the n′ heaviest columns).
     work: ColMatrix,
     /// Per-shard fan-out buffers of the product search.
@@ -58,7 +64,7 @@ impl Default for SearchScratch {
     fn default() -> Self {
         SearchScratch {
             order: Vec::new(),
-            shard_orders: Vec::new(),
+            weight_slots: Vec::new(),
             work: ColMatrix::new(0, 0),
             fanouts: Vec::new(),
         }
@@ -71,14 +77,14 @@ impl SearchScratch {
         SearchScratch::default()
     }
 
-    /// Capacities of the internal buffers (column order, summed shard
-    /// screening slots, screened matrix words, summed fan-out slots) —
+    /// Capacities of the internal buffers (column order, screening
+    /// histogram, screened matrix words, summed fan-out slots) —
     /// diagnostic hook for steady-state reuse tests: across epochs of
     /// equal shape these must not grow.
     pub fn capacities(&self) -> [usize; 4] {
         [
             self.order.capacity(),
-            self.shard_orders.iter().map(Vec::capacity).sum(),
+            self.weight_slots.capacity(),
             self.work.word_capacity(),
             self.fanouts.iter().map(Vec::capacity).sum(),
         ]
@@ -115,8 +121,8 @@ impl SearchTimings {
 ///
 /// These are *effort* numbers, not detection inputs: the pruned
 /// candidates are exactly those that provably cannot enter the bounded
-/// candidate heap (their weight upper bound sits strictly below the
-/// full heap's minimum), so the detection set never depends on them —
+/// candidate keeper (their weight upper bound sits strictly below the
+/// full keeper's bar), so the detection set never depends on them —
 /// or on the seed-first scan order that makes the bar rise early. The
 /// counters do depend on shard/worker partitioning and scan order, so
 /// they are excluded from cross-thread metric determinism checks.
@@ -182,7 +188,7 @@ impl Default for SearchConfig {
 }
 
 /// Result of an aligned-case detection run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlignedDetection {
     /// Whether a non-naturally-occurring pattern was found.
     pub found: bool,
@@ -213,11 +219,6 @@ impl AlignedDetection {
     }
 }
 
-/// Bounded-heap entry order: the full `(weight, parent, column)` tuple
-/// (a total order, so the retained top-H set is canonical for any
-/// candidate partition).
-type CandidateHeap = BinaryHeap<Reverse<(u32, u32, u32)>>;
-
 /// A k-product under construction.
 #[derive(Debug, Clone)]
 struct Product {
@@ -227,16 +228,56 @@ struct Product {
     members: Vec<u32>,
 }
 
-/// The weight below which no candidate can enter `heap` once it is
-/// full: candidates are ordered by the full `(weight, parent, column)`
-/// tuple, so a weight *strictly* below the heap minimum's weight loses
-/// to it for any tie-break — while an equal weight may still win.
-fn heap_bar(heap: &CandidateHeap, cap: usize) -> u32 {
-    if heap.len() == cap {
-        heap.peek().map_or(0, |Reverse((w, _, _))| *w)
-    } else {
-        0
+/// Columns per batched kernel call of the expansion sweep, in words of
+/// column data: 32 KiB, so a batch and its weights stay L1/L2-resident.
+const SWEEP_BATCH_WORDS: usize = 4096;
+
+/// AND-popcounts `base` against the contiguous `work` columns `range`
+/// in one batched kernel call ([`ColMatrix::and_weights_into`]) and
+/// offers the candidates that reach the keeper's current bar as
+/// `(weight, parent, column)`. `fanout` is the caller's reusable buffer.
+fn scan_batch<K: CandidateKeeper>(
+    work: &ColMatrix,
+    base: &[u64],
+    range: Range<usize>,
+    parent: u32,
+    keeper: &mut K,
+    fanout: &mut Vec<u32>,
+) {
+    if fanout.len() < range.len() {
+        fanout.resize(range.len(), 0);
     }
+    let weights = &mut fanout[..range.len()];
+    work.and_weights_into(base, range.clone(), weights);
+    // Most candidates sit below the bar once the keeper is full: test a
+    // block's maximum (one branch-free reduction) before looking inside.
+    for (block, chunk) in weights.chunks(FILTER_BLOCK).enumerate() {
+        if chunk.iter().fold(0, |m, &w| m.max(w)) < keeper.bar() {
+            continue;
+        }
+        let first = range.start + block * FILTER_BLOCK;
+        for (j, &w) in (first..).zip(chunk) {
+            if w >= keeper.bar() {
+                keeper.offer((w, parent, j as u32));
+            }
+        }
+    }
+}
+
+/// Candidates per bar test of [`scan_batch`]'s filter.
+const FILTER_BLOCK: usize = 32;
+
+/// Merges per-shard keepers into the canonical global top-H, full tuple
+/// descending.
+fn merge_keepers<K: CandidateKeeper>(keepers: Vec<K>) -> Vec<Candidate> {
+    let mut iter = keepers.into_iter();
+    let Some(mut acc) = iter.next() else {
+        return Vec::new();
+    };
+    for keeper in iter {
+        acc.absorb(keeper);
+    }
+    acc.into_desc()
 }
 
 /// Runs the greedy core search on `work` (a column subset of the original
@@ -245,14 +286,14 @@ fn heap_bar(heap: &CandidateHeap, cap: usize) -> u32 {
 ///
 /// `seeded` (empty = no seeding) flags the work-matrix columns the
 /// heavy-hitter sketch nominated; each shard scans its seeded outer
-/// columns first. Seeding is **advisory**: the bounded heaps retain a
+/// columns first. Seeding is **advisory**: the keepers retain a
 /// canonical top-H for any offer order, so the only effect is that the
-/// heap's eviction bar rises early and the conservative weight-bound
-/// break — a candidate whose `min(w_outer, max w_remaining)` upper
-/// bound sits strictly below a full heap's minimum weight can never
-/// enter and is skipped unscanned — fires sooner. `work_stats`
-/// accumulates the scanned/pruned/seeded candidate counts.
-fn product_search(
+/// eviction bar rises early and the conservative weight-bound break — a
+/// candidate whose `min(w_outer, max w_remaining)` upper bound sits
+/// strictly below a full keeper's bar can never enter and is skipped
+/// unscanned — fires sooner. `work_stats` accumulates the
+/// scanned/pruned/seeded candidate counts.
+fn product_search<K: CandidateKeeper>(
     work: &ColMatrix,
     cfg: &SearchConfig,
     fanouts: &mut Vec<Vec<u32>>,
@@ -265,13 +306,15 @@ fn product_search(
     if n < 2 {
         return (curve, best_per_iter);
     }
-    let cols: Vec<&[u64]> = (0..n).map(|j| work.column(j)).collect();
+    // A product weight never exceeds the row count: the keepers' bucket
+    // range.
+    let max_weight = work.nrows() as u32;
     // Per-column weight upper bounds for the conservative break: a
     // product with column j weighs at most w[j], and any candidate
     // drawn from columns ≥ j weighs at most suffix_max[j]. (On the
     // refined path the columns arrive weight-sorted so suffix_max[j]
     // == w[j]; the naive path is unsorted and needs the real suffix.)
-    let w: Vec<u32> = cols.iter().map(|c| weight(c)).collect();
+    let w: Vec<u32> = (0..n).map(|j| weight(work.column(j))).collect();
     let mut suffix_max = w.clone();
     for j in (0..n - 1).rev() {
         suffix_max[j] = suffix_max[j].max(suffix_max[j + 1]);
@@ -280,21 +323,27 @@ fn product_search(
     // Iteration 1: all 2-products, keep the H heaviest. Shard s owns the
     // outer indices congruent to s modulo the shard count (the pair loop
     // is triangular, striding balances the shards) and fills a private
-    // bounded heap; merging them reproduces the canonical global top-H
+    // keeper; merging them reproduces the canonical global top-H
     // because candidates are totally ordered — for any shard count and
-    // any worker count.
+    // any worker count. Outer column i is scanned against its whole
+    // surviving tail i+1..end in one batched kernel call.
     let shards = search_shards(&cfg.compute, n);
-    let mut shard_heaps: Vec<CandidateHeap> = (0..shards).map(|_| BinaryHeap::new()).collect();
+    fanouts.resize_with(shards.max(fanouts.len()), Vec::new);
+    let mut keepers: Vec<K> = (0..shards)
+        .map(|_| K::new(cfg.hopefuls, max_weight))
+        .collect();
     let mut shard_stats: Vec<SearchWork> = vec![SearchWork::default(); shards];
-    let jobs: Vec<((usize, &mut CandidateHeap), &mut SearchWork)> = shard_heaps
+    type ScanJob<'a, K> = (((usize, &'a mut K), &'a mut SearchWork), &'a mut Vec<u32>);
+    let jobs: Vec<ScanJob<K>> = keepers
         .iter_mut()
         .enumerate()
         .zip(shard_stats.iter_mut())
+        .zip(fanouts.iter_mut())
         .collect();
     run_jobs(
         jobs,
         cfg.compute.workers_for(shards),
-        |((s, heap), stats)| {
+        |(((s, keeper), stats), fanout)| {
             let mut own: Vec<usize> = (s..n).step_by(shards).collect();
             if !seeded.is_empty() {
                 // Stable partition: seeded outer columns first (false < true).
@@ -305,18 +354,14 @@ fn product_search(
                 if start >= n {
                     continue;
                 }
-                let bar = heap_bar(heap, cfg.hopefuls);
+                let bar = keeper.bar();
                 if w[i] < bar {
                     stats.pairs_pruned += (n - start) as u64;
                     continue;
                 }
                 let end = start + suffix_max[start..].partition_point(|&sm| sm >= bar);
                 stats.pairs_pruned += (n - end) as u64;
-                let ci = cols[i];
-                for (j, cj) in cols[..end].iter().enumerate().skip(start) {
-                    let wc = and_weight(ci, cj);
-                    push_bounded(heap, cfg.hopefuls, (wc, i as u32, j as u32));
-                }
+                scan_batch(work, work.column(i), start..end, i as u32, keeper, fanout);
                 let scanned = (end - start) as u64;
                 stats.pairs_scanned += scanned;
                 if !seeded.is_empty() && seeded[i] {
@@ -328,13 +373,12 @@ fn product_search(
     for s in shard_stats {
         work_stats.absorb(s);
     }
-    let heap = merge_bounded(shard_heaps, cfg.hopefuls);
-    let mut hopefuls: Vec<Product> = heap
-        .into_sorted_vec()
+    // Heaviest first: the merged set comes out full tuple descending.
+    let mut hopefuls: Vec<Product> = merge_keepers(keepers)
         .into_iter()
-        .map(|Reverse((w, i, j))| {
-            let mut words = cols[i as usize].to_vec();
-            dcs_bitmap::words::and_assign(&mut words, cols[j as usize]);
+        .map(|(w, i, j)| {
+            let mut words = work.column(i as usize).to_vec();
+            dcs_bitmap::words::and_assign(&mut words, work.column(j as usize));
             Product {
                 words,
                 weight: w,
@@ -342,16 +386,13 @@ fn product_search(
             }
         })
         .collect();
-    // into_sorted_vec of Reverse is descending by Reverse => ascending by
-    // weight reversed... make the heaviest first explicitly.
-    hopefuls.sort_by_key(|p| Reverse(p.weight));
     record_best(&hopefuls, &mut curve, &mut best_per_iter);
 
     // Iterations 2..: extend each hopeful with columns after its max
-    // member. Shards stride the hopefuls list; each shard batches the
-    // AND-popcounts of one hopeful against all its candidate columns
-    // through the blocked many-columns kernel, reusing its persistent
-    // fan-out buffer across iterations and epochs.
+    // member. Shards stride the hopefuls list; each shard scans one
+    // hopeful against all its candidate columns in one batched kernel
+    // call, reusing its persistent fan-out buffer across iterations and
+    // epochs.
     for _ in 1..cfg.max_iterations {
         if hopefuls.is_empty() || curve.last() == Some(&0) {
             break;
@@ -359,15 +400,12 @@ fn product_search(
         let shards = search_shards(&cfg.compute, hopefuls.len());
         fanouts.resize_with(shards.max(fanouts.len()), Vec::new);
         let hopefuls_ref = &hopefuls;
-        let cols_ref = &cols;
         let suffix_ref = &suffix_max;
-        let mut shard_heaps: Vec<CandidateHeap> = (0..shards).map(|_| BinaryHeap::new()).collect();
+        let mut keepers: Vec<K> = (0..shards)
+            .map(|_| K::new(cfg.hopefuls, max_weight))
+            .collect();
         let mut shard_stats: Vec<SearchWork> = vec![SearchWork::default(); shards];
-        type SweepJob<'a> = (
-            ((usize, &'a mut CandidateHeap), &'a mut SearchWork),
-            &'a mut Vec<u32>,
-        );
-        let jobs: Vec<SweepJob> = shard_heaps
+        let jobs: Vec<ScanJob<K>> = keepers
             .iter_mut()
             .enumerate()
             .zip(shard_stats.iter_mut())
@@ -376,54 +414,40 @@ fn product_search(
         run_jobs(
             jobs,
             cfg.compute.workers_for(shards),
-            |(((s, heap), stats), fanout)| {
-                let mut pi = s;
-                while pi < hopefuls_ref.len() {
+            |(((s, keeper), stats), fanout)| {
+                for pi in (s..hopefuls_ref.len()).step_by(shards) {
                     let p = &hopefuls_ref[pi];
                     let start = p.members.last().copied().unwrap_or(0) as usize + 1;
-                    if start < n {
-                        // An extension of p weighs at most min(p.weight,
-                        // w[j]) — skip what cannot enter the full heap.
-                        let bar = heap_bar(heap, cfg.hopefuls);
-                        if p.weight < bar {
-                            stats.pairs_pruned += (n - start) as u64;
-                            pi += shards;
-                            continue;
-                        }
-                        let end = start + suffix_ref[start..].partition_point(|&sm| sm >= bar);
-                        stats.pairs_pruned += (n - end) as u64;
-                        if end > start {
-                            fanout.clear();
-                            fanout.resize(end - start, 0);
-                            and_weight_many_into(&p.words, &cols_ref[start..end], fanout);
-                            for (off, &w) in fanout.iter().enumerate() {
-                                push_bounded(
-                                    heap,
-                                    cfg.hopefuls,
-                                    (w, pi as u32, (start + off) as u32),
-                                );
-                            }
-                            stats.pairs_scanned += (end - start) as u64;
-                        }
+                    if start >= n {
+                        continue;
                     }
-                    pi += shards;
+                    // An extension of p weighs at most min(p.weight,
+                    // w[j]) — skip what cannot enter the full keeper.
+                    let bar = keeper.bar();
+                    if p.weight < bar {
+                        stats.pairs_pruned += (n - start) as u64;
+                        continue;
+                    }
+                    let end = start + suffix_ref[start..].partition_point(|&sm| sm >= bar);
+                    stats.pairs_pruned += (n - end) as u64;
+                    scan_batch(work, &p.words, start..end, pi as u32, keeper, fanout);
+                    stats.pairs_scanned += (end - start) as u64;
                 }
             },
         );
         for s in shard_stats {
             work_stats.absorb(s);
         }
-        let heap = merge_bounded(shard_heaps, cfg.hopefuls);
-        if heap.is_empty() {
+        let next = merge_keepers(keepers);
+        if next.is_empty() {
             break;
         }
-        let mut next: Vec<Product> = heap
-            .into_sorted_vec()
+        hopefuls = next
             .into_iter()
-            .map(|Reverse((w, pi, j))| {
+            .map(|(w, pi, j)| {
                 let parent = &hopefuls[pi as usize];
                 let mut words = parent.words.clone();
-                dcs_bitmap::words::and_assign(&mut words, cols[j as usize]);
+                dcs_bitmap::words::and_assign(&mut words, work.column(j as usize));
                 let mut members = parent.members.clone();
                 members.push(j);
                 Product {
@@ -433,8 +457,6 @@ fn product_search(
                 }
             })
             .collect();
-        next.sort_by_key(|p| Reverse(p.weight));
-        hopefuls = next;
         record_best(&hopefuls, &mut curve, &mut best_per_iter);
 
         // Early exit: once the curve shows a plateau followed by a dive we
@@ -451,13 +473,13 @@ fn product_search(
 /// Shard count for a product-search fan-out of `items` work units.
 ///
 /// A sharded plan only pays off when more than one worker executes it:
-/// each per-shard bounded heap sees a fraction of the candidates, so its
-/// eviction threshold sits below the single global heap's and it accepts
-/// (then churns) more entries. Run sequentially that is strictly extra
-/// heap work for the same canonical result — so with one worker the plan
-/// collapses to one shard. Legal because the merged top-H is
-/// shard-count-invariant (see the determinism tests): shards only ever
-/// change where time is spent, never what is detected.
+/// each per-shard keeper sees a fraction of the candidates, so its
+/// eviction bar sits below the single global keeper's and it accepts
+/// more entries. Run sequentially that is strictly extra work for the
+/// same canonical result — so with one worker the plan collapses to one
+/// shard. Legal because the merged top-H is shard-count-invariant (see
+/// the determinism tests): shards only ever change where time is spent,
+/// never what is detected.
 fn search_shards(budget: &ComputeBudget, items: usize) -> usize {
     let shards = budget.effective_shards().min(items).max(1);
     if budget.workers_for(shards) == 1 {
@@ -471,41 +493,6 @@ fn record_best(hopefuls: &[Product], curve: &mut Vec<u32>, best: &mut Vec<Produc
     let b = hopefuls.first().expect("hopefuls non-empty");
     curve.push(b.weight);
     best.push(b.clone());
-}
-
-/// Offers `item` to a bounded min-heap keeping the `cap` largest
-/// candidates.
-///
-/// Eviction compares the *full* tuple, not just the weight: candidates
-/// form a total order, so the retained set is a canonical function of the
-/// candidate multiset — independent of offer order, and hence of how the
-/// fan-out was partitioned across workers.
-fn push_bounded(heap: &mut CandidateHeap, cap: usize, item: (u32, u32, u32)) {
-    if cap == 0 {
-        return;
-    }
-    if heap.len() < cap {
-        heap.push(Reverse(item));
-    } else if let Some(Reverse(min)) = heap.peek() {
-        if item > *min {
-            heap.pop();
-            heap.push(Reverse(item));
-        }
-    }
-}
-
-/// Merges per-worker bounded heaps into the canonical global top-`cap`
-/// heap. Correct because every member of the global top-`cap` is in its
-/// worker's local top-`cap`.
-fn merge_bounded(heaps: Vec<CandidateHeap>, cap: usize) -> CandidateHeap {
-    let mut iter = heaps.into_iter();
-    let mut acc = iter.next().unwrap_or_default();
-    for heap in iter {
-        for Reverse(item) in heap {
-            push_bounded(&mut acc, cap, item);
-        }
-    }
-    acc
 }
 
 /// Iterated multi-pattern detection (the Section II-D layering for the
@@ -547,7 +534,7 @@ pub fn refined_detect_multi(
 /// no screening, no expansion sweep.
 pub fn naive_detect(matrix: &ColMatrix, cfg: &SearchConfig) -> AlignedDetection {
     let identity: Vec<usize> = (0..matrix.ncols()).collect();
-    detect_inner(
+    detect_inner::<TopKeeper>(
         matrix,
         matrix,
         &identity,
@@ -585,11 +572,8 @@ pub fn refined_detect(matrix: &ColMatrix, cfg: &SearchConfig) -> AlignedDetectio
 /// steady-state epoch path. Returns the detection and per-stage timings.
 ///
 /// Screening selects the n′ heaviest columns by the total order
-/// `(weight desc, index asc)`: each column shard partitions out its
-/// local top-n′ (`O(n/s)` per shard, in parallel), the shard survivors
-/// merge, and a global partition + `O(n′ log n′)` sort makes the final
-/// cut. Every member of the global top-n′ is in its own shard's local
-/// top-n′, so the screened set is identical for any shard count.
+/// `(weight desc, index asc)` with an O(n) counting sort (see
+/// `screen_heaviest`).
 ///
 /// # Panics
 /// Panics if `weights.len() != matrix.ncols()`.
@@ -607,7 +591,7 @@ pub fn refined_detect_cached(
 /// `seeds` are *original-matrix* column indices (the sketch's top-k
 /// candidates; out-of-range or screened-out entries are ignored). Seeded
 /// columns are scanned first inside each product-search shard so the
-/// bounded heap's eviction bar rises early and the conservative
+/// keeper's eviction bar rises early and the conservative
 /// weight-bound break prunes more of the pair scan.
 ///
 /// Seeding is provably lossless: screening membership, the work-matrix
@@ -626,49 +610,76 @@ pub fn refined_detect_seeded(
     seeds: &[usize],
     scratch: &mut SearchScratch,
 ) -> (AlignedDetection, SearchTimings, SearchWork) {
+    refined_search::<TopKeeper>(matrix, weights, cfg, seeds, scratch)
+}
+
+/// Writes the `n_prime` heaviest columns under `(weight desc, index
+/// asc)` to `order`, in that order.
+///
+/// Column weights never exceed the router count, so this is a counting
+/// sort: one pass builds the weight histogram in `slots`; walking it from
+/// the heaviest weight down turns each count into that weight's first
+/// output slot and finds the cut weight where n′ slots fill; a second
+/// pass drops each column of weight ≥ cut into its weight's next slot in
+/// index order. Columns at the cut weight beyond n′ find their slots
+/// taken and are left out — the highest indices, as the total order
+/// requires.
+fn screen_heaviest(
+    weights: &[u32],
+    n_prime: usize,
+    slots: &mut Vec<usize>,
+    order: &mut Vec<usize>,
+) {
+    slots.clear();
+    for &w in weights {
+        let w = w as usize;
+        if w >= slots.len() {
+            slots.resize(w + 1, 0);
+        }
+        slots[w] += 1;
+    }
+    let mut filled = 0;
+    let mut cut = slots.len();
+    for w in (0..slots.len()).rev() {
+        if filled >= n_prime {
+            break;
+        }
+        let count = slots[w];
+        slots[w] = filled;
+        filled += count;
+        cut = w;
+    }
+    order.clear();
+    order.resize(n_prime, 0);
+    for (j, &w) in weights.iter().enumerate() {
+        let w = w as usize;
+        if w >= cut && slots[w] < n_prime {
+            order[slots[w]] = j;
+            slots[w] += 1;
+        }
+    }
+}
+
+/// [`refined_detect_seeded`] with the candidate keeper as a parameter
+/// (the tests run the binary-heap oracle through it).
+fn refined_search<K: CandidateKeeper>(
+    matrix: &ColMatrix,
+    weights: &[u32],
+    cfg: &SearchConfig,
+    seeds: &[usize],
+    scratch: &mut SearchScratch,
+) -> (AlignedDetection, SearchTimings, SearchWork) {
     let n = matrix.ncols();
     assert_eq!(weights.len(), n, "one weight per column");
     let n_prime = cfg.n_prime.min(n);
     let t0 = Instant::now();
     let SearchScratch {
         order,
-        shard_orders,
+        weight_slots,
         work,
         fanouts,
     } = scratch;
-    order.clear();
-    let shards = cfg.compute.effective_shards();
-    if n_prime < n && shards > 1 {
-        let ranges = split_range(n, shards);
-        shard_orders.resize_with(ranges.len().max(shard_orders.len()), Vec::new);
-        let jobs: Vec<(std::ops::Range<usize>, &mut Vec<usize>)> = ranges
-            .iter()
-            .cloned()
-            .zip(shard_orders.iter_mut())
-            .collect();
-        run_jobs(
-            jobs,
-            cfg.compute.workers_for(ranges.len()),
-            |(range, buf)| {
-                buf.clear();
-                buf.extend(range);
-                if n_prime < buf.len() {
-                    buf.select_nth_unstable_by_key(n_prime, |&j| (Reverse(weights[j]), j));
-                    buf.truncate(n_prime);
-                }
-            },
-        );
-        for buf in &shard_orders[..ranges.len()] {
-            order.extend_from_slice(buf);
-        }
-    } else {
-        order.extend(0..n);
-    }
-    if n_prime < order.len() {
-        order.select_nth_unstable_by_key(n_prime, |&j| (Reverse(weights[j]), j));
-        order.truncate(n_prime);
-    }
-    order.sort_unstable_by_key(|&j| (Reverse(weights[j]), j));
+    screen_heaviest(weights, n_prime, weight_slots, order);
     matrix.select_columns_into(order, work);
     let seeded: Vec<bool> = if seeds.is_empty() {
         Vec::new()
@@ -678,7 +689,7 @@ pub fn refined_detect_seeded(
     };
     let screen_ns = t0.elapsed().as_nanos() as u64;
     let mut work_stats = SearchWork::default();
-    let (det, mut timings) = detect_inner(
+    let (det, mut timings) = detect_inner::<K>(
         matrix,
         work,
         order,
@@ -697,7 +708,7 @@ pub fn refined_detect_seeded(
 /// Returns the detection plus per-stage timings (`screen_ns` left zero —
 /// screening happens in the caller).
 #[allow(clippy::too_many_arguments)]
-fn detect_inner(
+fn detect_inner<K: CandidateKeeper>(
     matrix: &ColMatrix,
     work: &ColMatrix,
     mapping: &[usize],
@@ -709,7 +720,7 @@ fn detect_inner(
 ) -> (AlignedDetection, SearchTimings) {
     let mut timings = SearchTimings::default();
     let t_core = Instant::now();
-    let (curve, best) = product_search(work, cfg, fanouts, seeded, work_stats);
+    let (curve, best) = product_search::<K>(work, cfg, fanouts, seeded, work_stats);
     let stopped = stop_point(&curve, cfg.termination);
     timings.core_ns = t_core.elapsed().as_nanos() as u64;
     let Some(stop) = stopped else {
@@ -720,35 +731,33 @@ fn detect_inner(
 
     // Witness set: the core plus (refined only) every other column sharing
     // ≥ weight(core) − γ ones with the core row vector. This is the O(n)
-    // full-matrix sweep: each column shard scans its contiguous range,
-    // batching `block_cols` columns per blocked-kernel call so the core
-    // row vector stays cache-hot across the batch. Survivor sets from
-    // disjoint ranges are sorted after the merge, so the witness set is
-    // shard-count-invariant.
+    // full-matrix sweep: each column shard scans its contiguous range in
+    // batched kernel calls of `SWEEP_BATCH_WORDS` words of columns, so
+    // the core row vector and the batch weights stay cache-hot. Survivor
+    // sets from disjoint ranges are sorted after the merge, so the
+    // witness set is shard-count-invariant.
     let mut cols = core_cols.clone();
     if expand {
         let t_expand = Instant::now();
         let thresh = core.weight.saturating_sub(cfg.gamma);
         let core_set: std::collections::HashSet<usize> = core_cols.iter().copied().collect();
-        let block_cols = cfg.compute.effective_block_cols();
+        let batch_cols = (SWEEP_BATCH_WORDS / matrix.words_per_col().max(1)).max(1);
         let n = matrix.ncols();
         let ranges = split_range(n, cfg.compute.effective_shards());
         let mut survivors: Vec<Vec<usize>> = ranges.iter().map(|_| Vec::new()).collect();
-        let jobs: Vec<(std::ops::Range<usize>, &mut Vec<usize>)> =
+        let jobs: Vec<(Range<usize>, &mut Vec<usize>)> =
             ranges.iter().cloned().zip(survivors.iter_mut()).collect();
         run_jobs(
             jobs,
             cfg.compute.workers_for(ranges.len()),
             |(range, out)| {
-                let mut batch_weights = vec![0u32; block_cols];
+                let mut batch_weights = vec![0u32; batch_cols.min(range.len())];
                 let mut start = range.start;
                 while start < range.end {
-                    let end = (start + block_cols).min(range.end);
-                    let batch: Vec<&[u64]> = (start..end).map(|j| matrix.column(j)).collect();
-                    batch_weights[..batch.len()].fill(0);
-                    and_weight_many_into(&core.words, &batch, &mut batch_weights);
-                    for (off, &w) in batch_weights[..batch.len()].iter().enumerate() {
-                        let j = start + off;
+                    let end = (start + batch_cols).min(range.end);
+                    let batch = &mut batch_weights[..end - start];
+                    matrix.and_weights_into(&core.words, start..end, batch);
+                    for (j, &w) in (start..end).zip(batch.iter()) {
                         if w >= thresh && !core_set.contains(&j) {
                             out.push(j);
                         }
@@ -798,6 +807,7 @@ fn detect_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keeper::HeapKeeper;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1116,7 +1126,66 @@ mod tests {
         }
     }
 
+    #[test]
+    fn bucketed_search_matches_heap_reference() {
+        // The weight-bucketed keeper must reproduce the binary-heap
+        // search exactly — detection and work counters — on a one-word
+        // 24-router matrix (weights span a narrow band, so ties at the
+        // bar are the common case) and a three-word 130-row one, with
+        // and without seeds, sequential and sharded.
+        for (m, n, a, b, seed) in [
+            (24, 3_000, 16, 20, 60u64),
+            (24, 3_000, 0, 0, 61),
+            (130, 900, 40, 12, 62),
+        ] {
+            let mut r = StdRng::seed_from_u64(seed);
+            let (mat, _, plant) = planted_matrix(&mut r, m, n, a, b);
+            let weights = mat.col_weights();
+            for (threads, shards) in [(1, 1), (2, 3)] {
+                let cfg = SearchConfig {
+                    compute: ComputeBudget::with_threads(threads).with_shards(shards),
+                    ..small_cfg()
+                };
+                for seeds in [&[][..], &plant[..]] {
+                    let run = |bucketed: bool| {
+                        let mut scratch = SearchScratch::new();
+                        let (det, _, work) = if bucketed {
+                            refined_search::<TopKeeper>(&mat, &weights, &cfg, seeds, &mut scratch)
+                        } else {
+                            refined_search::<HeapKeeper>(&mat, &weights, &cfg, seeds, &mut scratch)
+                        };
+                        (det, work)
+                    };
+                    let (det, work) = run(true);
+                    let (oracle, oracle_work) = run(false);
+                    let ctx = format!("{m}x{n} t={threads} s={shards} seeds={}", seeds.len());
+                    assert_eq!(det, oracle, "{ctx}: detection differs");
+                    assert_eq!(work, oracle_work, "{ctx}: work counters differ");
+                    assert!(work.pairs_scanned > 0, "{ctx}: nothing scanned");
+                }
+            }
+            let found = refined_detect(&mat, &small_cfg()).found;
+            assert_eq!(found, a > 0, "{m}x{n}: plant {a}x{b} detection");
+        }
+    }
+
     proptest! {
+        /// The counting-sort screen equals a full sort by
+        /// `(weight desc, index asc)` cut to n′, ties at the cut included.
+        #[test]
+        fn screen_matches_sorted_cut(
+            weights in proptest::collection::vec(0u32..30, 0..400),
+            cut in 0usize..500,
+        ) {
+            let n_prime = cut.min(weights.len());
+            let mut expect: Vec<usize> = (0..weights.len()).collect();
+            expect.sort_by_key(|&j| (std::cmp::Reverse(weights[j]), j));
+            expect.truncate(n_prime);
+            let (mut slots, mut order) = (vec![7; 3], vec![1; 9]);
+            screen_heaviest(&weights, n_prime, &mut slots, &mut order);
+            prop_assert_eq!(order, expect);
+        }
+
         /// Seeding is advisory: for any seed set — empty, on-pattern,
         /// off-pattern, out of range, duplicated — the detection is
         /// byte-identical to the unseeded run. Only the work counters

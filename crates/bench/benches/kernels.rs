@@ -54,8 +54,10 @@ fn bench_words(c: &mut Criterion) {
                 .sum::<u32>()
         })
     });
-    g.bench_function(format!("and_weight_many_x{ncols}_4096w"), |bch| {
-        bch.iter(|| words::and_weight_many(black_box(&base), black_box(&refs)))
+    let flat = cols.concat();
+    let mut out = vec![0u32; ncols];
+    g.bench_function(format!("and_weight_cols_x{ncols}_4096w"), |bch| {
+        bch.iter(|| words::and_weight_cols(black_box(&base), black_box(&flat), &mut out))
     });
     g.finish();
 

@@ -1,5 +1,5 @@
 //! Kernel and thread-scaling measurements: scalar vs blocked popcount
-//! kernels, the batched `and_weight_many` sweep, and the refined search
+//! kernels, the batched `and_weight_cols` sweep, and the refined search
 //! at 1/2/4/8 worker threads. Emits `BENCH_kernels.json` in the current
 //! directory so the numbers (and the hardware they came from) are
 //! versioned alongside the code.
@@ -8,9 +8,7 @@
 
 use dcs_aligned::refined_detect;
 use dcs_bench::{banner, repro_search_config, write_report, BenchError, RunScale};
-use dcs_bitmap::words::{
-    and_weight, and_weight_many_into, and_weight_scalar, weight, weight_scalar,
-};
+use dcs_bitmap::words::{and_weight, and_weight_cols, and_weight_scalar, weight, weight_scalar};
 use dcs_parallel::ComputeBudget;
 use dcs_sim::aligned::screened_planted_matrix;
 use rand::rngs::StdRng;
@@ -117,7 +115,7 @@ fn bench_kernels(rng: &mut StdRng, quick: bool) -> Vec<KernelSample> {
     }
 
     // Batched sweep: one base against many columns, the expansion sweep's
-    // shape. Compare a scalar loop against the cache-blocked batch kernel.
+    // shape. Compare a scalar loop against the batched column kernel.
     let nw = if quick { 1024 } else { 16_384 };
     let ncols = 32;
     let base: Vec<u64> = (0..nw).map(|_| rng.gen()).collect();
@@ -140,14 +138,14 @@ fn bench_kernels(rng: &mut StdRng, quick: bool) -> Vec<KernelSample> {
         ns_per_call: ns,
         gib_per_s: bytes / ns,
     });
+    let flat = cols.concat();
     let mut buf = vec![0u32; ncols];
     let ns = time_ns(5, reps, || {
-        buf.iter_mut().for_each(|w| *w = 0);
-        and_weight_many_into(std::hint::black_box(&base), &refs, &mut buf);
+        and_weight_cols(std::hint::black_box(&base), &flat, &mut buf);
         std::hint::black_box(&buf);
     });
     out.push(KernelSample {
-        kernel: format!("and_weight_many_x{ncols}"),
+        kernel: format!("and_weight_cols_x{ncols}"),
         words: nw,
         ns_per_call: ns,
         gib_per_s: bytes / ns,

@@ -293,6 +293,26 @@ impl ColMatrix {
         words::and_weight(self.column(i), self.column(j))
     }
 
+    /// AND-weights of the row vector `base` (one column's worth of
+    /// words, e.g. a k-product) against the contiguous column range
+    /// `cols`: `out[k] = popcount(base & column(cols.start + k))`. One
+    /// batched [`words::and_weight_cols`] call over the backing store.
+    ///
+    /// # Panics
+    /// Panics if the range exceeds `ncols`, `base` is not
+    /// `words_per_col` words, or `out.len() != cols.len()`.
+    #[inline]
+    pub fn and_weights_into(&self, base: &[u64], cols: Range<usize>, out: &mut [u32]) {
+        assert!(
+            cols.start <= cols.end && cols.end <= self.ncols,
+            "cols {cols:?} out of range {}",
+            self.ncols
+        );
+        assert_eq!(base.len(), self.words_per_col, "base width");
+        let wpc = self.words_per_col;
+        words::and_weight_cols(base, &self.data[cols.start * wpc..cols.end * wpc], out);
+    }
+
     /// Approximate heap footprint in bytes.
     pub fn byte_size(&self) -> usize {
         self.data.len() * 8

@@ -4,8 +4,9 @@
 //! remainder, and masked tails alike).
 
 use crate::words::{
-    and_weight_many, and_weight_scalar, and_weight_with, available_kernels, or_weight_scalar,
-    or_weight_with, tail_mask, weight_scalar, weight_with, words_for,
+    and_weight_cols_scalar, and_weight_cols_with, and_weight_scalar, and_weight_with,
+    available_kernels, or_weight_scalar, or_weight_with, tail_mask, weight_scalar, weight_with,
+    words_for,
 };
 use crate::{Bitmap, BitmapView, ColMatrix, RowMatrix, WordSource};
 use proptest::prelude::*;
@@ -224,23 +225,50 @@ proptest! {
     }
 
     #[test]
-    fn and_weight_many_matches_pairwise_scalar(
-        base in proptest::collection::vec(any::<u64>(), 0..40),
-        ncols in 0usize..12,
-        fill in proptest::collection::vec(any::<u64>(), 0..480),
+    fn and_weight_cols_is_bit_identical_across_kernels(
+        shape in 0usize..9,
+        ncols in 0usize..70,
+        seed in any::<u64>(),
     ) {
-        let cols: Vec<Vec<u64>> = (0..ncols)
-            .map(|c| {
-                (0..base.len())
-                    .map(|w| fill.get(c * base.len() + w).copied().unwrap_or(!0))
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[u64]> = cols.iter().map(Vec::as_slice).collect();
-        let many = and_weight_many(&base, &refs);
-        prop_assert_eq!(many.len(), ncols);
-        for (k, col) in cols.iter().enumerate() {
-            prop_assert_eq!(many[k], and_weight_scalar(&base, col), "column {}", k);
+        // One-word, few-word and vector-width (≥ 8 words) columns.
+        let nrows = [1usize, 23, 24, 63, 64, 65, 130, 520, 1040][shape];
+        // Columns of `nrows` bits with masked tails, stored back to back
+        // as in a ColMatrix; the base is a masked row vector too.
+        let wpc = words_for(nrows);
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut masked = |n: usize| -> Vec<u64> {
+            (0..n * wpc)
+                .map(|i| if i % wpc == wpc - 1 { next() & tail_mask(nrows) } else { next() })
+                .collect()
+        };
+        let base = masked(1);
+        let cols = masked(ncols);
+        let expect: Vec<u32> = cols.chunks_exact(wpc).map(|c| and_weight_scalar(&base, c)).collect();
+        let mut reference = vec![u32::MAX; ncols];
+        and_weight_cols_scalar(&base, &cols, &mut reference);
+        prop_assert_eq!(&reference, &expect);
+        for &k in available_kernels() {
+            let mut out = vec![u32::MAX; ncols];
+            and_weight_cols_with(k, &base, &cols, &mut out);
+            prop_assert_eq!(&out, &expect, "kernel {:?} nrows {}", k, nrows);
         }
+        // The ColMatrix entry point over any contiguous sub-range.
+        let mut m = ColMatrix::new(nrows, ncols);
+        for (j, col) in cols.chunks_exact(wpc).enumerate() {
+            for r in crate::words::iter_ones(col) {
+                m.set(r, j);
+            }
+        }
+        let (lo, hi) = (ncols / 3, ncols - ncols / 4);
+        let mut out = vec![u32::MAX; hi - lo];
+        m.and_weights_into(&base, lo..hi, &mut out);
+        prop_assert_eq!(&out[..], &expect[lo..hi]);
     }
 }

@@ -5,12 +5,14 @@
 //! per-byte counts are folded into four `u64` lanes with
 //! `_mm256_sad_epu8`. The byte accumulator is flushed every
 //! [`SAD_EVERY`] vectors — each vector adds at most 8 to a byte lane, so
-//! 31 × 8 = 248 stays under the `u8` ceiling.
+//! 31 × 8 = 248 stays under the `u8` ceiling. The batched column kernel
+//! ([`and_weight_cols`]) is also compiled with POPCNT, for columns
+//! narrower than one vector.
 //!
 //! This is the only module in the crate allowed to use `unsafe`: the
-//! intrinsics require it. Every public entry point re-checks AVX2
-//! availability at runtime (a cached atomic load inside `std`), so the
-//! functions exposed to the dispatcher are safe — the
+//! intrinsics require it. Every public entry point re-checks AVX2 and
+//! POPCNT availability at runtime (a cached atomic load inside `std`),
+//! so the functions exposed to the dispatcher are safe — the
 //! `#[target_feature]` bodies are unreachable on hosts without the
 //! feature, even if [`force_kernel`](crate::words::force_kernel) is
 //! misused.
@@ -27,11 +29,17 @@ const SAD_EVERY: usize = 31;
 /// dispatcher in [`crate::words`] short-circuits before calling here.
 pub(crate) const AVX2_MIN_WORDS: usize = 8;
 
+/// Whether this host can run the kernels of this module (AVX2 and
+/// POPCNT; `std` caches the detection in an atomic).
+pub(crate) fn supported() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
+}
+
 macro_rules! assert_avx2 {
     () => {
         assert!(
-            std::arch::is_x86_feature_detected!("avx2"),
-            "AVX2 kernel invoked on a host without AVX2 (force_kernel misuse?)"
+            supported(),
+            "AVX2 kernel invoked on a host without AVX2 and POPCNT (force_kernel misuse?)"
         )
     };
 }
@@ -39,7 +47,7 @@ macro_rules! assert_avx2 {
 /// Population count of a word slice.
 pub(crate) fn weight(words: &[u64]) -> u32 {
     assert_avx2!();
-    // SAFETY: AVX2 availability verified above.
+    // SAFETY: AVX2 and POPCNT availability verified above.
     unsafe { weight_impl(words) }
 }
 
@@ -47,7 +55,7 @@ pub(crate) fn weight(words: &[u64]) -> u32 {
 pub(crate) fn and_weight(a: &[u64], b: &[u64]) -> u32 {
     debug_assert_eq!(a.len(), b.len(), "and_weight: length mismatch");
     assert_avx2!();
-    // SAFETY: AVX2 availability verified above.
+    // SAFETY: AVX2 and POPCNT availability verified above.
     unsafe { binary_weight_impl::<OP_AND>(a, b) }
 }
 
@@ -55,8 +63,46 @@ pub(crate) fn and_weight(a: &[u64], b: &[u64]) -> u32 {
 pub(crate) fn or_weight(a: &[u64], b: &[u64]) -> u32 {
     debug_assert_eq!(a.len(), b.len(), "or_weight: length mismatch");
     assert_avx2!();
-    // SAFETY: AVX2 availability verified above.
+    // SAFETY: AVX2 and POPCNT availability verified above.
     unsafe { binary_weight_impl::<OP_OR>(a, b) }
+}
+
+/// `out[k] = popcount(base & col_k)` over columns of `base.len()` words
+/// stored back to back in `cols` (see
+/// [`and_weight_cols`](crate::words::and_weight_cols)).
+pub(crate) fn and_weight_cols(base: &[u64], cols: &[u64], out: &mut [u32]) {
+    debug_assert_eq!(cols.len(), out.len() * base.len());
+    assert_avx2!();
+    // SAFETY: AVX2 and POPCNT availability verified above.
+    unsafe { and_weight_cols_impl(base, cols, out) }
+}
+
+/// One-word columns (up to 64 routers) are a single AND + popcount per
+/// column, a loop the compiler vectorises (nibble lookup + `vpsadbw`,
+/// four columns per vector); columns narrower than [`AVX2_MIN_WORDS`]
+/// take a POPCNT word loop; wider ones the vector AND-popcount per
+/// column, with the base slice cache-hot across the batch.
+#[target_feature(enable = "avx2,popcnt")]
+unsafe fn and_weight_cols_impl(base: &[u64], cols: &[u64], out: &mut [u32]) {
+    let w = base.len();
+    if w == 1 {
+        let b = base[0];
+        for (o, &c) in out.iter_mut().zip(cols) {
+            *o = (b & c).count_ones();
+        }
+    } else if w < AVX2_MIN_WORDS {
+        for (o, col) in out.iter_mut().zip(cols.chunks_exact(w)) {
+            *o = base
+                .iter()
+                .zip(col)
+                .map(|(x, y)| (x & y).count_ones())
+                .sum();
+        }
+    } else {
+        for (o, col) in out.iter_mut().zip(cols.chunks_exact(w)) {
+            *o = binary_weight_impl::<OP_AND>(base, col);
+        }
+    }
 }
 
 const OP_AND: u8 = 0;

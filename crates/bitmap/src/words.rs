@@ -55,7 +55,8 @@ pub enum Kernel {
     Scalar = 1,
     /// Harley–Seal carry-save blocked kernels: the portable default.
     Blocked = 2,
-    /// AVX2 nibble-lookup vector popcount (x86-64 with AVX2 only).
+    /// AVX2 nibble-lookup vector popcount, plus POPCNT for narrow
+    /// columns (x86-64 with AVX2 and POPCNT only).
     Avx2 = 3,
 }
 
@@ -79,8 +80,8 @@ impl Kernel {
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 /// Per-kernel dispatched-call tallies, indexed by `Kernel::index()`.
-/// Batched reductions ([`and_weight_many_into`]) count one call per
-/// (block, column) kernel invocation, added in bulk per batch.
+/// The batched reduction ([`and_weight_cols`]) counts one call per
+/// column, added in bulk per batch.
 static DISPATCHED: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
 #[inline]
@@ -92,7 +93,7 @@ pub(crate) fn tally(kernel: Kernel, calls: u64) {
 /// the last [`reset_dispatch_counts`]), per kernel. Explicit-kernel
 /// entry points (`*_with`, `*_scalar`, …) are not counted — only calls
 /// that went through [`weight`] / [`and_weight`] / [`or_weight`] /
-/// [`and_weight_many`].
+/// [`and_weight_cols`].
 pub fn dispatch_counts() -> [(Kernel, u64); 3] {
     [Kernel::Scalar, Kernel::Blocked, Kernel::Avx2]
         .map(|k| (k, DISPATCHED[k.index()].load(Ordering::Relaxed)))
@@ -106,9 +107,8 @@ pub fn reset_dispatch_counts() {
 }
 
 /// The kernel the dispatcher currently routes [`weight`] /
-/// [`and_weight`] / [`or_weight`] (and through them
-/// [`and_weight_many`]) to. Resolved once via feature detection on
-/// first use, then served from an atomic.
+/// [`and_weight`] / [`or_weight`] / [`and_weight_cols`] to. Resolved
+/// once via feature detection on first use, then served from an atomic.
 #[inline]
 pub fn active_kernel() -> Kernel {
     match ACTIVE.load(Ordering::Relaxed) {
@@ -133,19 +133,19 @@ pub fn detect_kernel() -> Kernel {
     if std::env::var_os("DCS_FORCE_SCALAR").is_some_and(|v| v != "0") {
         return Kernel::Scalar;
     }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if available_kernels().contains(&Kernel::Avx2) {
         return Kernel::Avx2;
     }
     Kernel::Blocked
 }
 
 /// Kernels usable on this host: always [`Kernel::Scalar`] and
-/// [`Kernel::Blocked`]; [`Kernel::Avx2`] when the CPU has it. Tests
-/// iterate this list to assert bit-identity across dispatch targets.
+/// [`Kernel::Blocked`]; [`Kernel::Avx2`] when the CPU has AVX2 and
+/// POPCNT. Tests iterate this list to assert bit-identity across
+/// dispatch targets.
 pub fn available_kernels() -> &'static [Kernel] {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if crate::simd::supported() {
         return &[Kernel::Scalar, Kernel::Blocked, Kernel::Avx2];
     }
     &[Kernel::Scalar, Kernel::Blocked]
@@ -155,13 +155,13 @@ pub fn available_kernels() -> &'static [Kernel] {
 /// override so the next call re-detects. The effect is process-global.
 ///
 /// # Panics
-/// Panics if `Kernel::Avx2` is forced on a host without AVX2 — the
-/// vector kernels would be unsound to execute there.
+/// Panics if `Kernel::Avx2` is forced on a host without AVX2 and
+/// POPCNT — the vector kernels would be unsound to execute there.
 pub fn force_kernel(kernel: Option<Kernel>) {
     if kernel == Some(Kernel::Avx2) {
         assert!(
             available_kernels().contains(&Kernel::Avx2),
-            "cannot force the AVX2 kernel: host lacks AVX2"
+            "cannot force the AVX2 kernel: host lacks AVX2 or POPCNT"
         );
     }
     ACTIVE.store(kernel.map_or(0, |k| k as u8), Ordering::Relaxed);
@@ -195,10 +195,6 @@ pub const LANES: usize = 8;
 /// slices use the straight-line kernels, which win below the tree's
 /// fixed setup/flush overhead (measured crossover ≈ 3 chunks).
 pub const CSA_MIN_WORDS: usize = 4 * LANES;
-
-/// Words per cache block of [`and_weight_many`]: 4 KiB of the base slice,
-/// small enough to stay L1-resident while the batched columns stream by.
-const BLOCK_WORDS: usize = 512;
 
 /// Carry-save adder: adds three bit-columns, returning (sum, carry).
 #[inline(always)]
@@ -410,47 +406,75 @@ pub fn or_weight_scalar(a: &[u64], b: &[u64]) -> u32 {
     a.iter().zip(b).map(|(x, y)| (x | y).count_ones()).sum()
 }
 
-/// AND-weight of one base slice against a batch of columns:
-/// `out[i] = and_weight(base, cols[i])`.
+/// AND-weight of one base vector against a run of columns stored back to
+/// back: `out[k] = popcount(base & cols[k*w..(k+1)*w])` with
+/// `w = base.len()` — a contiguous [`ColMatrix`](crate::ColMatrix)
+/// column range against one product row vector. Runtime-dispatched, with
+/// one tally of `out.len()` calls per batch.
 ///
-/// The base is walked in `BLOCK_WORDS`-word cache blocks and each block
-/// is reused across the whole batch before moving on, so for wide batches
-/// the base costs one cache fill per block instead of one per column.
-/// This is the kernel under the aligned search's candidate fan-out, where
-/// one core product is intersected with every remaining column.
-pub fn and_weight_many(base: &[u64], cols: &[&[u64]]) -> Vec<u32> {
-    let mut out = vec![0u32; cols.len()];
-    and_weight_many_into(base, cols, &mut out);
-    out
-}
-
-/// [`and_weight_many`] accumulating into a caller-provided buffer
-/// (`out[i] += …`), letting sweep loops reuse one allocation.
+/// This is the kernel under every scan of the aligned search: the
+/// 2-product pair scan, the per-hopeful extensions and the expansion
+/// sweep. Walking columns in storage order needs no per-column slice
+/// table, and at the paper's 24 routers a column is one word, so each
+/// candidate costs one AND and one popcount.
 ///
 /// # Panics
-/// Panics if `out` is shorter than `cols` (debug builds only: mismatched
-/// column lengths).
-pub fn and_weight_many_into(base: &[u64], cols: &[&[u64]], out: &mut [u32]) {
-    assert!(
-        out.len() >= cols.len(),
-        "and_weight_many_into: out too short"
+/// Panics if `cols.len() != out.len() * base.len()`.
+pub fn and_weight_cols(base: &[u64], cols: &[u64], out: &mut [u32]) {
+    let k = active_kernel();
+    tally(k, out.len() as u64);
+    and_weight_cols_with(k, base, cols, out);
+}
+
+/// [`and_weight_cols`] through an explicitly chosen kernel (tests and
+/// benches).
+///
+/// # Panics
+/// Panics if `cols.len() != out.len() * base.len()`.
+pub fn and_weight_cols_with(kernel: Kernel, base: &[u64], cols: &[u64], out: &mut [u32]) {
+    assert_eq!(
+        cols.len(),
+        out.len() * base.len(),
+        "and_weight_cols: one column of base.len() words per output"
     );
-    let kernel = active_kernel();
-    let mut calls = 0u64;
-    let mut start = 0;
-    while start < base.len() {
-        let end = (start + BLOCK_WORDS).min(base.len());
-        let base_block = &base[start..end];
-        for (o, col) in out.iter_mut().zip(cols) {
-            debug_assert_eq!(col.len(), base.len(), "and_weight_many: length mismatch");
-            *o += and_weight_with(kernel, base_block, &col[start..end]);
-        }
-        calls += cols.len() as u64;
-        start = end;
+    if base.is_empty() {
+        out.fill(0);
+        return;
     }
-    // One batched tally keeps the per-(block, column) hot loop free of
-    // atomic traffic.
-    tally(kernel, calls);
+    match kernel {
+        Kernel::Scalar => and_weight_cols_scalar(base, cols, out),
+        Kernel::Blocked => {
+            for (o, col) in out.iter_mut().zip(cols.chunks_exact(base.len())) {
+                *o = and_weight_blocked(base, col);
+            }
+        }
+        Kernel::Avx2 => and_weight_cols_avx2(base, cols, out),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn and_weight_cols_avx2(base: &[u64], cols: &[u64], out: &mut [u32]) {
+    crate::simd::and_weight_cols(base, cols, out);
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn and_weight_cols_avx2(base: &[u64], cols: &[u64], out: &mut [u32]) {
+    and_weight_cols_with(Kernel::Blocked, base, cols, out);
+}
+
+/// Straight-line reference implementation of [`and_weight_cols`]: one
+/// [`and_weight_scalar`] per column.
+///
+/// # Panics
+/// Panics if `base` is empty; a length mismatch is caught in debug
+/// builds only.
+pub fn and_weight_cols_scalar(base: &[u64], cols: &[u64], out: &mut [u32]) {
+    debug_assert_eq!(cols.len(), out.len() * base.len());
+    for (o, col) in out.iter_mut().zip(cols.chunks_exact(base.len())) {
+        *o = and_weight_scalar(base, col);
+    }
 }
 
 /// In-place bitwise AND: `dst &= src`.
@@ -644,37 +668,8 @@ mod tests {
         weight(&a);
         and_weight(&a, &b);
         or_weight(&a, &b);
-        let cols = [a.as_slice()];
-        and_weight_many(&b, &cols); // 64 words = 1 block x 1 col = 1 call
+        and_weight_cols(&b, &a, &mut [0]); // 1 column, one tally
         let after = dispatch_counts()[k.index()].1;
         assert!(after >= before + 4, "dispatched {before} -> {after}");
-    }
-
-    #[test]
-    fn and_weight_many_crosses_block_boundary() {
-        // 1200 words spans two full cache blocks plus a partial third, so
-        // the per-block accumulation in `and_weight_many_into` is covered.
-        let len = 2 * BLOCK_WORDS + 176;
-        let base = splitmix_fill(len, 3);
-        let cols: Vec<Vec<u64>> = (0..5).map(|c| splitmix_fill(len, 10 + c)).collect();
-        let refs: Vec<&[u64]> = cols.iter().map(Vec::as_slice).collect();
-        let many = and_weight_many(&base, &refs);
-        for (k, col) in cols.iter().enumerate() {
-            assert_eq!(many[k], and_weight_scalar(&base, col), "column {k}");
-        }
-    }
-
-    #[test]
-    fn and_weight_many_into_leaves_prefix_only() {
-        let base = splitmix_fill(100, 7);
-        let cols: Vec<Vec<u64>> = (0..3).map(|c| splitmix_fill(100, 20 + c)).collect();
-        let refs: Vec<&[u64]> = cols.iter().map(Vec::as_slice).collect();
-        let mut out = [0, 0, 0, u32::MAX, u32::MAX];
-        and_weight_many_into(&base, &refs, &mut out);
-        for (k, col) in cols.iter().enumerate() {
-            assert_eq!(out[k], and_weight_scalar(&base, col));
-        }
-        // Slots past `cols.len()` are untouched.
-        assert_eq!(&out[3..], &[u32::MAX, u32::MAX]);
     }
 }

@@ -72,6 +72,9 @@ pub struct AlignedCollector {
     cfg: AlignedConfig,
     hasher: IndexHasher,
     bitmap: Bitmap,
+    /// Running weight of `bitmap`, kept from the fresh-bit flag of
+    /// [`Bitmap::set`] so the per-packet fill check costs no popcount.
+    ones: u64,
     packets_seen: u64,
     packets_hashed: u64,
     raw_bytes: u64,
@@ -94,6 +97,7 @@ impl AlignedCollector {
             cfg,
             hasher,
             bitmap,
+            ones: 0,
             packets_seen: 0,
             packets_hashed: 0,
             raw_bytes: 0,
@@ -108,7 +112,7 @@ impl AlignedCollector {
         if pkt.has_payload() {
             let len = self.cfg.hash_prefix_len.min(pkt.payload.len());
             let idx = self.hasher.index(&pkt.payload[..len], self.cfg.bitmap_bits);
-            self.bitmap.set(idx);
+            self.ones += u64::from(self.bitmap.set(idx));
             self.packets_hashed += 1;
         }
         self.epoch_full()
@@ -129,12 +133,14 @@ impl AlignedCollector {
 
     /// Whether the bitmap has reached the target fill ratio.
     pub fn epoch_full(&self) -> bool {
-        self.bitmap.fill_ratio() >= self.cfg.target_fill
+        self.fill_ratio() >= self.cfg.target_fill
     }
 
-    /// Current fill ratio.
+    /// Current fill ratio: the running ones count over the bitmap width
+    /// (equal to [`Bitmap::fill_ratio`] of the bitmap, without its
+    /// whole-bitmap popcount).
     pub fn fill_ratio(&self) -> f64 {
-        self.bitmap.fill_ratio()
+        self.ones as f64 / self.cfg.bitmap_bits as f64
     }
 
     /// Closes the epoch: returns the digest and resets all state for the
@@ -148,6 +154,7 @@ impl AlignedCollector {
             packets_hashed: self.packets_hashed,
             raw_bytes: self.raw_bytes,
         };
+        self.ones = 0;
         self.packets_seen = 0;
         self.packets_hashed = 0;
         self.raw_bytes = 0;
@@ -250,6 +257,33 @@ mod tests {
             (got - expect).abs() < 4.0 * expect.sqrt(),
             "weight {got} far from Bloom expectation {expect}"
         );
+    }
+
+    #[test]
+    fn running_ones_count_tracks_bitmap_weight() {
+        // Small bitmaps make repeat indices common, so fresh and already
+        // set bits both occur; the count must survive epoch resets.
+        let mut r = StdRng::seed_from_u64(9);
+        for bits in [1usize, 64, 100, 1 << 10] {
+            let mut c = AlignedCollector::new(AlignedConfig::small(bits, 3));
+            for epoch in 0..3 {
+                let packets = r.gen_range(0..3 * bits);
+                for _ in 0..packets {
+                    let len = r.gen_range(0..80);
+                    c.observe(&packet(&mut r, len));
+                    assert_eq!(c.ones, u64::from(c.bitmap.weight()));
+                }
+                assert_eq!(
+                    c.fill_ratio(),
+                    c.bitmap.fill_ratio(),
+                    "bits {bits} epoch {epoch}"
+                );
+                let d = c.finish_epoch();
+                assert_eq!(c.ones, 0, "reset after epoch");
+                assert_eq!(c.bitmap.weight(), 0);
+                assert!(d.bitmap.weight() as usize <= bits);
+            }
+        }
     }
 
     #[test]

@@ -939,7 +939,7 @@ impl AnalysisCenter {
     /// built around.
     pub fn scratch_capacities(&self) -> [usize; 11] {
         let s = self.take_scratch();
-        let [order, shard_orders, work, fanouts] = s.search.capacities();
+        let [order, weight_slots, work, fanouts] = s.search.capacities();
         let [screen_weights, screen_sigs] = s.screen.capacities();
         let caps = [
             s.matrix.word_capacity(),
@@ -950,7 +950,7 @@ impl AnalysisCenter {
             screen_weights,
             screen_sigs,
             order,
-            shard_orders,
+            weight_slots,
             work,
             fanouts,
         ];

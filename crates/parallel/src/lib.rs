@@ -21,15 +21,11 @@ use std::ops::Range;
 ///
 /// Threaded through [`SearchConfig`](../dcs_aligned) and the unaligned
 /// pipeline so every layer splits work the same way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ComputeBudget {
     /// Worker threads for parallel sections. `0` means "use all
     /// available CPUs" (resolved by [`ComputeBudget::effective_threads`]).
     pub threads: usize,
-    /// Column-block width for blocked kernel sweeps. Bounds the working
-    /// set of batched AND-popcount passes so a block of columns stays
-    /// cache-resident; `0` falls back to [`DEFAULT_BLOCK_COLS`].
-    pub block_cols: usize,
     /// Column shards the fused-matrix stages partition their work into
     /// (see [`shard_columns`]). Every stage result is bit-identical for
     /// every shard count — shards only decide how the column space is
@@ -39,30 +35,12 @@ pub struct ComputeBudget {
     pub shards: usize,
 }
 
-/// Default column-block width for batched kernels.
-///
-/// 8 columns × up to 64 KiB per 4 Mbit column keeps a block inside L2 on
-/// everything we run on, and matches the 8-wide unroll of the word
-/// kernels.
-pub const DEFAULT_BLOCK_COLS: usize = 8;
-
-impl Default for ComputeBudget {
-    fn default() -> Self {
-        ComputeBudget {
-            threads: 0,
-            block_cols: DEFAULT_BLOCK_COLS,
-            shards: 0,
-        }
-    }
-}
-
 impl ComputeBudget {
     /// Budget pinned to a single thread and a single shard (fully
     /// sequential).
     pub fn sequential() -> Self {
         ComputeBudget {
             threads: 1,
-            block_cols: DEFAULT_BLOCK_COLS,
             shards: 1,
         }
     }
@@ -70,11 +48,7 @@ impl ComputeBudget {
     /// Budget pinned to exactly `threads` workers (shards follow the
     /// thread count).
     pub fn with_threads(threads: usize) -> Self {
-        ComputeBudget {
-            threads,
-            block_cols: DEFAULT_BLOCK_COLS,
-            shards: 0,
-        }
+        ComputeBudget { threads, shards: 0 }
     }
 
     /// This budget with the column-shard count pinned to `shards`.
@@ -91,15 +65,6 @@ impl ComputeBudget {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
-        }
-    }
-
-    /// Resolves `block_cols == 0` to [`DEFAULT_BLOCK_COLS`].
-    pub fn effective_block_cols(&self) -> usize {
-        if self.block_cols > 0 {
-            self.block_cols
-        } else {
-            DEFAULT_BLOCK_COLS
         }
     }
 
@@ -371,10 +336,9 @@ mod proptests {
             shards in 0usize..10_000,
             items in 0usize..10_000,
         ) {
-            let b = ComputeBudget { threads, block_cols: 0, shards };
+            let b = ComputeBudget { threads, shards };
             prop_assert!(b.effective_threads() >= 1);
             prop_assert!(b.effective_shards() >= 1);
-            prop_assert!(b.effective_block_cols() >= 1);
             let w = b.workers_for(items);
             prop_assert!(w >= 1);
             prop_assert!(w <= items.max(1));
@@ -390,7 +354,6 @@ mod tests {
     fn default_budget_resolves() {
         let b = ComputeBudget::default();
         assert!(b.effective_threads() >= 1);
-        assert_eq!(b.effective_block_cols(), DEFAULT_BLOCK_COLS);
         assert_eq!(ComputeBudget::with_threads(3).effective_threads(), 3);
         assert_eq!(ComputeBudget::sequential().effective_threads(), 1);
     }
@@ -468,7 +431,6 @@ mod tests {
     fn budget_serde_round_trip() {
         let b = ComputeBudget {
             threads: 4,
-            block_cols: 16,
             shards: 2,
         };
         let v = serde::Serialize::to_value(&b);

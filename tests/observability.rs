@@ -78,6 +78,37 @@ fn every_stage_of_both_pipelines_records_nonzero() {
 }
 
 #[test]
+fn metric_keys_the_epoch_benchmark_reads_exist() {
+    // The epoch benchmark reads these keys with a default of 0, so a
+    // rename would silently report zero work instead of failing.
+    let center = center_with_threads(1);
+    center
+        .analyze_epoch(&make_digests(32, 3))
+        .expect("clean quorum");
+    let snap = center.metrics();
+    for gauge in [
+        "search_pairs_scanned",
+        "search_pairs_pruned",
+        "sketch_seed_columns",
+        "graph_groups_changed",
+    ] {
+        assert!(snap.gauge(gauge).is_some(), "gauge {gauge} missing");
+    }
+    for counter in [
+        "search_candidates_total",
+        "pairs_exact_total",
+        "pairs_screened_total",
+    ] {
+        assert!(snap.counter(counter).is_some(), "counter {counter} missing");
+    }
+    for stage in Stage::ALIGNED.iter().chain(Stage::UNALIGNED.iter()) {
+        let key = stage.gauge_key();
+        assert!(snap.gauge(&key).is_some(), "stage gauge {key} missing");
+    }
+    assert!(snap.gauge("search_pairs_scanned").unwrap() > 0);
+}
+
+#[test]
 fn deprecated_timings_view_equals_registry_derived_values() {
     let center = center_with_threads(1);
     let report = center.analyze_epoch(&make_digests(32, 6)).expect("quorum");
