@@ -15,9 +15,14 @@
 //!    comes from: only `changed × all` group pairs are re-tested.
 //!
 //! A churn sweep then shows per-epoch work scaling with churned groups,
-//! not total groups, and a real [`AnalysisCenter`] runs a few epochs so
-//! the emitted `BENCH_graph.json` carries the ten-stage span breakdown
-//! and metrics snapshot `scripts/check_metrics_json.py` gates in CI.
+//! not total groups. A **weight-spread** row builds a matrix whose
+//! groups sit at weights across the 254–915 band real 1,024-bit rows
+//! reach on the packet workload, once against a cold λ table and once
+//! warm: the rows above all share one weight, so their table holds a
+//! single entry and never shows the Λ cost. Finally a real
+//! [`AnalysisCenter`] runs a few epochs so the emitted
+//! `BENCH_graph.json` carries the ten-stage span breakdown and metrics
+//! snapshot `scripts/check_metrics_json.py` gates in CI.
 
 use dcs_bench::{banner, write_report, BenchError, RunScale, StageGauges};
 use dcs_bitmap::{Bitmap, RowMatrix};
@@ -64,6 +69,21 @@ struct ChurnPoint {
     mean_epoch_ms: f64,
 }
 
+/// The weight-spread row: one prescreened build over groups whose
+/// weights span `weight_lo..=weight_hi`, against a cold then a warm λ
+/// table.
+#[derive(serde::Serialize)]
+struct WeightSpread {
+    weight_lo: usize,
+    weight_hi: usize,
+    cold_ms: f64,
+    warm_ms: f64,
+    lambda_quantiles_cold: u64,
+    lambda_quantiles_warm: u64,
+    screened_pairs: u64,
+    exact_pairs: u64,
+}
+
 #[derive(serde::Serialize)]
 struct Report {
     generator: String,
@@ -83,6 +103,7 @@ struct Report {
     /// acceptance headline (must be ≥ 5).
     exact_pair_reduction: f64,
     churn_sweep: Vec<ChurnPoint>,
+    weight_spread: WeightSpread,
     center_stage_ns: StageGauges,
     metrics: MetricsSnapshot,
 }
@@ -96,6 +117,23 @@ fn null_matrix(rng: &mut StdRng, groups: usize) -> RowMatrix {
             bm.set(rng.gen_range(0..ARRAY_BITS));
         }
         m.push_bitmap(&bm);
+    }
+    m
+}
+
+/// Null rows whose weight is fixed per group and spread evenly over
+/// `lo..=hi` across the groups.
+fn spread_matrix(rng: &mut StdRng, groups: usize, lo: usize, hi: usize) -> RowMatrix {
+    let mut m = RowMatrix::new(ARRAY_BITS);
+    for g in 0..groups {
+        let weight = lo + (hi - lo) * g / (groups - 1).max(1);
+        for _ in 0..ARRAYS_PER_GROUP {
+            let mut bm = Bitmap::new(ARRAY_BITS);
+            while (bm.weight() as usize) < weight {
+                bm.set(rng.gen_range(0..ARRAY_BITS));
+            }
+            m.push_bitmap(&bm);
+        }
     }
     m
 }
@@ -271,13 +309,56 @@ fn run() -> Result<(), BenchError> {
         );
     }
 
-    // 5. Real centre epochs for the CI-gated stage/metrics sections.
+    // 5. Weight spread: the Λ cost the single-weight rows above never
+    // see — one quantile per distinct weight pair on a cold table, none
+    // on a warm one.
+    let (weight_lo, weight_hi) = (254, 915);
+    let spread = spread_matrix(&mut rng, groups, weight_lo, weight_hi);
+    let spread_table = LambdaTable::new(ARRAY_BITS, P_STAR);
+    let mut spread_build = || {
+        let t = Instant::now();
+        screen.rebuild(&spread, &spread_table, ScreenConfig::default(), threads);
+        let (g, stats) =
+            build_group_graph_prescreened(&spread, layout, &spread_table, &screen, threads);
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        (g, stats, ms, spread_table.take_computed())
+    };
+    let (cold_graph, spread_stats, cold_ms, lambda_quantiles_cold) = spread_build();
+    let (warm_graph, _, warm_ms, lambda_quantiles_warm) = spread_build();
+    assert_eq!(
+        sorted_edges(&cold_graph),
+        sorted_edges(&build_group_graph_parallel(
+            &spread,
+            layout,
+            &spread_table,
+            threads
+        )),
+        "weight-spread build diverged from the all-pairs oracle"
+    );
+    assert_eq!(sorted_edges(&warm_graph), sorted_edges(&cold_graph));
+    assert_eq!(lambda_quantiles_warm, 0, "a warm λ table computes nothing");
+    let weight_spread = WeightSpread {
+        weight_lo,
+        weight_hi,
+        cold_ms,
+        warm_ms,
+        lambda_quantiles_cold,
+        lambda_quantiles_warm,
+        screened_pairs: spread_stats.pairs_screened,
+        exact_pairs: spread_stats.pairs_exact,
+    };
+
+    // 6. Real centre epochs for the CI-gated stage/metrics sections.
     let (center_stage_ns, metrics) = center_epochs(threads);
     assert!(
         center_stage_ns.all_nonzero(),
         "every stage of both pipelines must record a span"
     );
-    for key in ["pairs_screened_total", "pairs_exact_total"] {
+    for key in [
+        "pairs_screened_total",
+        "pairs_exact_total",
+        "lambda_quantiles_computed_total",
+    ] {
         assert!(
             metrics.counter(key).is_some(),
             "{key} missing from the centre snapshot"
@@ -309,6 +390,18 @@ fn run() -> Result<(), BenchError> {
         "-",
         steady_mean_exact_pairs
     );
+    println!(
+        "{:<34} {:>12.2} {:>14} {:>14}",
+        format!("weight spread {weight_lo}-{weight_hi} (cold λ)"),
+        cold_ms,
+        spread_stats.pairs_screened,
+        spread_stats.pairs_exact
+    );
+    println!(
+        "{:<34} {:>12.2} {:>14} {:>14}",
+        "weight spread (warm λ)", warm_ms, spread_stats.pairs_screened, spread_stats.pairs_exact
+    );
+    println!("  λ quantiles computed: {lambda_quantiles_cold} cold, {lambda_quantiles_warm} warm");
     println!("\nchurn sweep (per-epoch mean):");
     for p in &churn_sweep {
         println!(
@@ -353,6 +446,7 @@ fn run() -> Result<(), BenchError> {
         steady_mean_epoch_ms,
         exact_pair_reduction,
         churn_sweep,
+        weight_spread,
         center_stage_ns,
         metrics,
     };

@@ -274,6 +274,26 @@ impl RowMatrix {
         words::and_weight(self.row(i), self.row(j))
     }
 
+    /// [`RowMatrix::common_ones`] of row `i` against the run of
+    /// consecutive rows starting at `j`: `out[k] = common_ones(i, j + k)`.
+    /// Rows are stored back to back, so the run is one contiguous slice
+    /// and the whole batch is one [`words::and_weight_cols`] call (one
+    /// kernel dispatch and one tally).
+    ///
+    /// # Panics
+    /// Panics if `i` or any row of the run is out of range.
+    #[inline]
+    pub fn common_ones_run(&self, i: usize, j: usize, out: &mut [u32]) {
+        let end = j + out.len();
+        assert!(
+            end <= self.nrows,
+            "rows {j}..{end} out of range {}",
+            self.nrows
+        );
+        let w = self.words_per_row;
+        words::and_weight_cols(self.row(i), &self.data[j * w..end * w], out);
+    }
+
     /// Reads the bit at (`row`, `col`).
     ///
     /// # Panics
@@ -338,6 +358,19 @@ mod tests {
         assert_eq!(m.common_ones(0, 1), 2);
         assert_eq!(m.common_ones(0, 2), 1);
         assert_eq!(m.common_ones(1, 2), 0);
+    }
+
+    #[test]
+    fn common_ones_run_matches_per_pair() {
+        let m = sample();
+        for i in 0..m.nrows() {
+            for j in 0..m.nrows() {
+                let mut out = vec![0u32; m.nrows() - j];
+                m.common_ones_run(i, j, &mut out);
+                let want: Vec<u32> = (j..m.nrows()).map(|r| m.common_ones(i, r)).collect();
+                assert_eq!(out, want, "row {i} against run from {j}");
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use dcs_unaligned::{
     CoreFindConfig, ErTestConfig, GroupLayout, IncrementalConfig, IncrementalCorrelator,
     LambdaTable, PreScreen, ScreenConfig,
 };
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Configuration of the analysis centre.
@@ -339,8 +339,20 @@ pub struct AnalysisCenter {
     /// produces a correct (merely colder) graph, because a correlator
     /// re-tests exactly what differs from the last epoch *it* saw.
     correlators: Mutex<Vec<IncrementalCorrelator>>,
+    /// The λ tables of the test and detection graphs, kept across
+    /// epochs and keyed by `(n_bits, p*)`. Λ is a function of the
+    /// configuration and the row shape only, never of the traffic, so a
+    /// warm table is not a replay cache: fresh epochs just stop paying
+    /// for quantiles already computed. Epochs check a table out as an
+    /// [`Arc`] — the lock guards only the lookup — and then read it
+    /// lock-free, pipelined epochs included.
+    lambda_tables: Mutex<Vec<Arc<LambdaTable>>>,
     metrics: MetricsRegistry,
 }
+
+/// λ tables one centre keeps: the test and detection tables of the
+/// current row shape plus those of one previous shape.
+const LAMBDA_TABLES_KEPT: usize = 4;
 
 impl AnalysisCenter {
     /// Creates the centre.
@@ -352,6 +364,7 @@ impl AnalysisCenter {
             cfg,
             scratch: Mutex::new(vec![EpochScratch::new()]),
             correlators: Mutex::new(vec![IncrementalCorrelator::new(inc)]),
+            lambda_tables: Mutex::new(Vec::new()),
             metrics: MetricsRegistry::new(),
         }
     }
@@ -419,6 +432,29 @@ impl AnalysisCenter {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(corr);
+    }
+
+    /// The centre's λ table for rows of `n_bits` bits at level `p_star`,
+    /// created on first use. Beyond [`LAMBDA_TABLES_KEPT`] tables the
+    /// oldest is dropped (epochs still holding it keep their `Arc`).
+    fn lambda_table(&self, n_bits: usize, p_star: f64) -> Arc<LambdaTable> {
+        let mut tables = self
+            .lambda_tables
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let key = (n_bits, p_star.to_bits());
+        if let Some(t) = tables
+            .iter()
+            .find(|t| (t.n_bits(), t.p_star().to_bits()) == key)
+        {
+            return Arc::clone(t);
+        }
+        if tables.len() == LAMBDA_TABLES_KEPT {
+            tables.remove(0);
+        }
+        let table = Arc::new(LambdaTable::new(n_bits, p_star));
+        tables.push(Arc::clone(&table));
+        table
     }
 
     /// Runs both pipelines over one epoch's digests.
@@ -1044,8 +1080,9 @@ impl AnalysisCenter {
     /// fresh each epoch otherwise — and is bit-identical to the all-pairs
     /// oracle either way. Per-epoch engine accounting lands in the
     /// `pairs_screened_total` / `pairs_exact_total` /
-    /// `graph_full_rebuilds_total` / `graph_audit_runs_total` counters
-    /// and the `graph_edges_live` / `graph_groups_changed` gauges (all
+    /// `graph_full_rebuilds_total` / `graph_audit_runs_total` /
+    /// `lambda_quantiles_computed_total` counters and the
+    /// `graph_edges_live` / `graph_groups_changed` gauges (all
     /// registered every epoch, so the keys exist even at zero).
     #[allow(clippy::too_many_arguments)]
     fn unaligned_from_rows(
@@ -1069,11 +1106,10 @@ impl AnalysisCenter {
             None => ErTestConfig::scaled(n_groups, self.cfg.test_p1),
         };
 
-        // Prescreen: λ table for the test graph, then weights, classes
-        // and band signatures for every row.
+        // Prescreen: the centre's test-graph λ table (warm after the first
+        // epoch), then weights, classes and band signatures for every row.
         let (test_table, _) = rec.run(Stage::Prescreen, || {
-            let p_star_test = p_star_for_edge_prob(self.cfg.test_p1, pairs);
-            let table = LambdaTable::new(ncols, p_star_test);
+            let table = self.lambda_table(ncols, p_star_for_edge_prob(self.cfg.test_p1, pairs));
             screen.rebuild_with_sigs(rows, &table, self.cfg.ugraph.screen(), workers, stack_sigs);
             table
         });
@@ -1112,20 +1148,23 @@ impl AnalysisCenter {
 
         // Peel always runs as a recorded span — a quiet epoch records a
         // trivial one — so the stage is present in every snapshot.
+        let mut det_misses = 0;
         let ((suspected_groups, suspected_routers), _) = rec.run(Stage::Peel, || {
             if test.alarm {
                 // Detection graph with the laxer λ′ table — built by the
-                // retained all-pairs reference path: alarms are rare, and
-                // running the oracle here keeps localisation independent
-                // of the screened/incremental engine.
+                // unscreened all-pairs path: the prescreen's class table
+                // is calibrated on the test λ, and keeping it out keeps
+                // localisation independent of the screened/incremental
+                // engine.
                 let p_star_det = p_star_for_edge_prob(self.cfg.detect_p1.min(0.999), pairs);
-                let det_table = LambdaTable::new(ncols, p_star_det);
+                let det_table = self.lambda_table(ncols, p_star_det);
                 let det_graph = build_group_graph_parallel(
                     rows,
                     layout,
                     &det_table,
                     self.cfg.compute.workers_for(n_groups),
                 );
+                det_misses = det_table.take_computed();
                 let pattern = find_pattern(&det_graph, self.cfg.corefind);
                 let groups: Vec<usize> = pattern.vertices().iter().map(|&g| g as usize).collect();
                 let mut routers: Vec<usize> = groups.iter().map(|&g| group_owner[g]).collect();
@@ -1136,6 +1175,12 @@ impl AnalysisCenter {
                 (Vec::new(), Vec::new())
             }
         });
+        // Λ misses: quantiles this epoch had to compute. High on a cold
+        // centre, ≈ 0 once the tables cover the traffic's weight band.
+        c(
+            "lambda_quantiles_computed_total",
+            test_table.take_computed() + det_misses,
+        );
 
         UnalignedReport {
             alarm: test.alarm,
@@ -1869,6 +1914,45 @@ mod tests {
         assert!(snap.gauge("sketch_seed_columns").unwrap_or(0) > 0);
         assert!(snap.counter("search_candidates_total").unwrap_or(0) > 0);
         assert!(snap.gauge("search_pairs_scanned").unwrap_or(0) > 0);
+    }
+
+    /// The centre keeps its λ tables across epochs: a cold epoch
+    /// computes quantiles, a later epoch over rows in the same weight
+    /// band computes none, and its verdict is unchanged.
+    #[test]
+    fn lambda_tables_warm_up_across_epochs() {
+        let mut r = StdRng::seed_from_u64(43);
+        let mcfg = MonitorConfig::small(7, 1 << 12, 4);
+        let bg = BackgroundConfig {
+            packets: 300,
+            flows: 80,
+            zipf_exponent: 1.0,
+            size_mix: SizeMix::constant(536),
+        };
+        let mut digests: Vec<RouterDigest> = (0..6)
+            .map(|id| {
+                let traffic = gen::generate_epoch(&mut r, &bg);
+                let mut mp = MonitoringPoint::new(id, &mcfg);
+                mp.observe_all(&traffic);
+                mp.finish_epoch()
+            })
+            .collect();
+        let center = AnalysisCenter::new(AnalysisConfig::for_groups(24));
+        let misses = |c: &AnalysisCenter| {
+            c.metrics()
+                .counter("lambda_quantiles_computed_total")
+                .expect("counter registered every epoch")
+        };
+        let first = center.analyze_epoch(&digests).expect("quorum").unaligned;
+        let cold = misses(&center);
+        assert!(cold > 0, "a cold centre must compute quantiles");
+        for d in &mut digests {
+            d.epoch_id = 1;
+        }
+        let second = center.analyze_epoch(&digests).expect("quorum").unaligned;
+        assert_eq!(misses(&center), cold, "a warm table computed again");
+        assert_eq!(first.largest_component, second.largest_component);
+        assert_eq!(first.suspected_groups, second.suspected_groups);
     }
 
     /// The incremental test-graph engine must be invisible in the

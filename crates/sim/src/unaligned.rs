@@ -4,9 +4,9 @@
 
 use dcs_graph::component_sizes;
 use dcs_graph::er::{gnp, gnp_planted, PlantedConfig};
-use dcs_stats::Ecdf;
+use dcs_stats::{hypergeom_tail_quantile, Ecdf};
 use dcs_unaligned::corefind::precision_recall;
-use dcs_unaligned::lambda::{p_star_for_edge_prob, LambdaTable};
+use dcs_unaligned::lambda::p_star_for_edge_prob;
 use dcs_unaligned::{find_pattern, CoreFindConfig, MatchModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,8 +17,8 @@ use rand::SeedableRng;
 pub fn p2_for(g: usize, p1: f64) -> f64 {
     let model = MatchModel::paper_default(g);
     let p_star = p_star_for_edge_prob(p1, model.k * model.k);
-    let table = LambdaTable::new(model.n_bits, p_star);
-    let lam = table.lambda(model.row_weight as u32, model.row_weight as u32);
+    let w = model.row_weight as u64;
+    let lam = hypergeom_tail_quantile(p_star, model.n_bits as u64, w, w) as u32;
     model.pattern_edge_prob(lam, p_star)
 }
 

@@ -20,6 +20,12 @@
 //! [`balanced_outer_indices`] (zigzag pairing), which keeps per-worker
 //! pair counts within `threads − 1` of each other for every `n` — the
 //! triangular loop's heavy low indices and light high indices cancel.
+//! They test a group pair in batches: each row of group `a` meets group
+//! `b`'s contiguous rows in one [`RowMatrix::common_ones_run`] kernel
+//! call, while the per-pair screen, λ lookup and first-edge stop keep
+//! the serial order, so edges and pair tallies equal the serial sweep's.
+//! [`build_group_graph`] keeps the one-pair-at-a-time test as the
+//! oracle the batched engines are checked against.
 
 use crate::lambda::LambdaTable;
 use crate::prescreen::PreScreen;
@@ -113,7 +119,7 @@ pub fn balanced_outer_indices(n: usize, threads: usize, t: usize) -> Vec<usize> 
 }
 
 /// Whether groups `ga` and `gb` are connected: does any row pair exceed
-/// its λ threshold?
+/// its λ threshold? One AND-popcount per pair — the reference test.
 fn groups_connected(
     rows: &RowMatrix,
     weights: &[u32],
@@ -174,17 +180,21 @@ pub fn build_group_graph_parallel(
     assert!(threads > 0, "need at least one thread");
     let n = layout.groups(rows);
     let weights = rows.row_weights();
-    // Pre-warm the λ memo serially so worker threads mostly read.
-    for &w in &weights {
-        if w > 0 {
-            table.lambda(w, w);
-        }
-    }
+    let nonzero = |ra: usize, rb: usize| weights[ra] != 0 && weights[rb] != 0;
     let edge_lists: Vec<Vec<(u32, u32)>> = map_workers(threads, |t| {
         let mut local = Vec::new();
+        let mut unused = GraphBuildStats::default();
         for ga in balanced_outer_indices(n, threads, t) {
             for gb in (ga + 1)..n {
-                if groups_connected(rows, &weights, layout, table, ga, gb) {
+                if groups_connected_batched(
+                    rows,
+                    &weights,
+                    layout,
+                    table,
+                    (ga, gb),
+                    nonzero,
+                    &mut unused,
+                ) {
                     local.push((ga as u32, gb as u32));
                 }
             }
@@ -200,11 +210,58 @@ pub fn build_group_graph_parallel(
     b.build()
 }
 
+/// Longest run of group-`b` rows one batched kernel call covers; larger
+/// groups are tested in several runs.
+const RUN: usize = 64;
+
+/// The batched group-pair test: whether groups `ga` and `gb` are
+/// connected, visiting row pairs in the serial order. A pair rejected by
+/// `needs_exact` is tallied as screened; the first pair of a run that
+/// needs the exact test computes the AND-popcounts of row `ra` against
+/// the whole run in one kernel call, and every exact pair is then one
+/// table read and one comparison. Pairs after an early edge hit are not
+/// counted (the cut-off point is a pure function of the row data, so the
+/// tallies stay partition-invariant).
+fn groups_connected_batched(
+    rows: &RowMatrix,
+    weights: &[u32],
+    layout: GroupLayout,
+    table: &LambdaTable,
+    (ga, gb): (usize, usize),
+    needs_exact: impl Fn(usize, usize) -> bool,
+    stats: &mut GraphBuildStats,
+) -> bool {
+    let k = layout.rows_per_group;
+    let b_end = (gb + 1) * k;
+    let mut common = [0u32; RUN];
+    for ra in ga * k..(ga + 1) * k {
+        let wa = weights[ra];
+        for run in (gb * k..b_end).step_by(RUN) {
+            let len = RUN.min(b_end - run);
+            let mut computed = false;
+            for rb in run..run + len {
+                if !needs_exact(ra, rb) {
+                    stats.pairs_screened += 1;
+                    continue;
+                }
+                if !computed {
+                    rows.common_ones_run(ra, run, &mut common[..len]);
+                    computed = true;
+                }
+                stats.pairs_exact += 1;
+                if common[rb - run] > table.lambda(wa, weights[rb]) {
+                    return true;
+                }
+            }
+        }
+    }
+    false
+}
+
 /// Whether groups `ga` and `gb` are connected, consulting the
-/// conservative prescreen before each exact test. Tallies every row pair
-/// inspected into `stats`; pairs after an early edge hit are not counted
-/// (the cut-off point is a pure function of the row data, so the tallies
-/// stay partition-invariant).
+/// conservative prescreen before each exact test, with every row pair
+/// inspected tallied into `stats` — the batched test with the screen as
+/// its filter.
 pub(crate) fn groups_connected_screened(
     rows: &RowMatrix,
     screen: &PreScreen,
@@ -214,21 +271,9 @@ pub(crate) fn groups_connected_screened(
     gb: usize,
     stats: &mut GraphBuildStats,
 ) -> bool {
-    let k = layout.rows_per_group;
+    let needs_exact = |ra: usize, rb: usize| screen.needs_exact(ra, rb);
     let weights = screen.weights();
-    for ra in ga * k..(ga + 1) * k {
-        for rb in gb * k..(gb + 1) * k {
-            if !screen.needs_exact(ra, rb) {
-                stats.pairs_screened += 1;
-                continue;
-            }
-            stats.pairs_exact += 1;
-            if rows.common_ones(ra, rb) > table.lambda(weights[ra], weights[rb]) {
-                return true;
-            }
-        }
-    }
-    false
+    groups_connected_batched(rows, weights, layout, table, (ga, gb), needs_exact, stats)
 }
 
 /// Prescreened parallel conversion: the same graph as
@@ -253,12 +298,6 @@ pub fn build_group_graph_prescreened(
         "prescreen was built for a different matrix"
     );
     let n = layout.groups(rows);
-    // Pre-warm the λ memo serially so worker threads mostly read.
-    for &w in screen.weights() {
-        if w > 0 {
-            table.lambda(w, w);
-        }
-    }
     let results: Vec<(Vec<(u32, u32)>, GraphBuildStats)> = map_workers(threads, |t| {
         let mut local = Vec::new();
         let mut stats = GraphBuildStats::default();
@@ -657,6 +696,202 @@ mod striding_proptests {
             let total: u64 = counts.iter().sum();
             let expect = if n == 0 { 0 } else { (n as u64) * (n as u64 - 1) / 2 };
             prop_assert_eq!(total, expect, "triangle pair total mismatch");
+        }
+    }
+}
+
+#[cfg(test)]
+mod batched_proptests {
+    //! The batched engines against the one-pair-at-a-time reference:
+    //! same edges and, where the engine reports them, the same pair
+    //! tallies — full build, incremental delta and detection graph, at
+    //! several thread counts and group sizes (65 rows per group exceeds
+    //! one kernel run).
+    use super::*;
+    use crate::incremental::{IncrementalConfig, IncrementalCorrelator};
+    use crate::prescreen::ScreenConfig;
+    use dcs_bitmap::Bitmap;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const NBITS: usize = 1024;
+    const ROWS_PER_GROUP: [usize; 4] = [1, 4, 10, 65];
+    const THREADS: [usize; 3] = [1, 2, 8];
+
+    /// Groups of zero, light, mid and dense rows; every third group
+    /// carries a shared 300-index set in one row, so edges exist.
+    fn matrix(rng: &mut StdRng, groups: usize, k: usize, common: &[usize]) -> RowMatrix {
+        let mut m = RowMatrix::new(NBITS);
+        for g in 0..groups {
+            for r in 0..k {
+                let w = match rng.gen_range(0..5) {
+                    0 => 0,
+                    1 => rng.gen_range(1..40),
+                    2 => rng.gen_range(150..400),
+                    _ => rng.gen_range(400..600),
+                };
+                let mut bm = Bitmap::new(NBITS);
+                if g % 3 == 0 && r == k / 2 {
+                    for &c in common {
+                        bm.set(c);
+                    }
+                }
+                while (bm.weight() as usize) < w {
+                    bm.set(rng.gen_range(0..NBITS));
+                }
+                m.push_bitmap(&bm);
+            }
+        }
+        m
+    }
+
+    /// The reference screened group test: one AND-popcount per pair.
+    fn reference_pair(
+        rows: &RowMatrix,
+        screen: &PreScreen,
+        table: &LambdaTable,
+        k: usize,
+        (ga, gb): (usize, usize),
+        stats: &mut GraphBuildStats,
+    ) -> bool {
+        let w = screen.weights();
+        for ra in ga * k..(ga + 1) * k {
+            for rb in gb * k..(gb + 1) * k {
+                if !screen.needs_exact(ra, rb) {
+                    stats.pairs_screened += 1;
+                    continue;
+                }
+                stats.pairs_exact += 1;
+                if rows.common_ones(ra, rb) > table.lambda(w[ra], w[rb]) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Reference edges and tallies over the group pairs `keep` selects.
+    fn reference(
+        rows: &RowMatrix,
+        screen: &PreScreen,
+        table: &LambdaTable,
+        k: usize,
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> (Vec<(u32, u32)>, GraphBuildStats) {
+        let n = rows.nrows() / k;
+        let mut stats = GraphBuildStats::default();
+        let mut edges = Vec::new();
+        for ga in 0..n {
+            for gb in (ga + 1)..n {
+                if keep(ga, gb) && reference_pair(rows, screen, table, k, (ga, gb), &mut stats) {
+                    edges.push((ga as u32, gb as u32));
+                }
+            }
+        }
+        (edges, stats)
+    }
+
+    fn sorted_edges(g: &Graph) -> Vec<(u32, u32)> {
+        let mut e: Vec<_> = g.edges().collect();
+        e.sort_unstable();
+        e
+    }
+
+    /// One case: full build and detection graph over `m0`, then an
+    /// incremental epoch over `m1` (a `churn` share of groups rewritten).
+    fn check_against_reference(
+        seed: u64,
+        k: usize,
+        groups: usize,
+        churn: f64,
+    ) -> Result<(), String> {
+        let layout = GroupLayout { rows_per_group: k };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let common: Vec<usize> = (0..300).map(|_| rng.gen_range(0..NBITS)).collect();
+        let m0 = matrix(&mut rng, groups, k, &common);
+        // Epoch 1 rewrites a random subset of groups.
+        let fresh = matrix(&mut rng, groups, k, &common);
+        let mut m1 = RowMatrix::new(NBITS);
+        let mut changed = vec![false; groups];
+        for (g, c) in changed.iter_mut().enumerate() {
+            let src = if rng.gen_bool(churn) { &fresh } else { &m0 };
+            for r in g * k..(g + 1) * k {
+                m1.push_words(src.row(r));
+                *c |= src.row(r) != m0.row(r);
+            }
+        }
+        let test_table = LambdaTable::new(NBITS, 1e-3);
+        let det_table = LambdaTable::new(NBITS, 5e-2);
+        let cfg = ScreenConfig::default();
+
+        let mut screen = PreScreen::new();
+        screen.rebuild(&m0, &test_table, cfg, 2);
+        let (want0, want_stats0) = reference(&m0, &screen, &test_table, k, |_, _| true);
+        prop_assert_eq!(
+            &want0,
+            &sorted_edges(&build_group_graph(&m0, layout, &test_table)),
+            "reference disagrees with the serial oracle"
+        );
+        let det_want = sorted_edges(&build_group_graph(&m0, layout, &det_table));
+        for threads in THREADS {
+            let (g, stats) =
+                build_group_graph_prescreened(&m0, layout, &test_table, &screen, threads);
+            prop_assert_eq!(&sorted_edges(&g), &want0, "full build, {} threads", threads);
+            prop_assert_eq!(
+                stats,
+                want_stats0,
+                "full-build tallies, {} threads",
+                threads
+            );
+            let det = build_group_graph_parallel(&m0, layout, &det_table, threads);
+            prop_assert_eq!(
+                &sorted_edges(&det),
+                &det_want,
+                "detection, {} threads",
+                threads
+            );
+        }
+
+        let mut screen1 = PreScreen::new();
+        screen1.rebuild(&m1, &test_table, cfg, 2);
+        let (want1, _) = reference(&m1, &screen1, &test_table, k, |_, _| true);
+        let (_, want_delta) = reference(&m1, &screen1, &test_table, k, |a, b| {
+            changed[a] || changed[b]
+        });
+        for threads in THREADS {
+            let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 0 });
+            corr.epoch(&m0, layout, &test_table, &screen, threads);
+            let (g, es) = corr.epoch(&m1, layout, &test_table, &screen1, threads);
+            prop_assert_eq!(
+                &sorted_edges(&g),
+                &want1,
+                "incremental, {} threads",
+                threads
+            );
+            prop_assert_eq!(
+                (es.pairs_screened, es.pairs_exact),
+                (want_delta.pairs_screened, want_delta.pairs_exact),
+                "incremental tallies, {} threads",
+                threads
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn batched_engines_match_the_reference(
+            seed in any::<u64>(),
+            groups in 2usize..12,
+            churn in 0.0f64..1.0,
+        ) {
+            for k in ROWS_PER_GROUP {
+                let groups = if k > 10 { groups.min(4) } else { groups };
+                check_against_reference(seed, k, groups, churn)?;
+            }
         }
     }
 }

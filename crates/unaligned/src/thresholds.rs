@@ -18,9 +18,9 @@
 //! same over a p₁ grid, with p₂ recomputed per p₁ through the Λ/match
 //! model (a laxer p₁ lowers λ, which raises p₂).
 
-use crate::lambda::{p_star_for_edge_prob, LambdaTable};
+use crate::lambda::p_star_for_edge_prob;
 use crate::matchmodel::MatchModel;
-use dcs_stats::{binomial_sf, ln_choose};
+use dcs_stats::{binomial_sf, hypergeom_tail_quantile, ln_choose};
 
 /// Natural log of eq. (2): the false-positive Markov bound for a cluster
 /// of `m` vertices and `d` edges under background p₁.
@@ -131,8 +131,8 @@ pub fn cluster_threshold_cotuned(
     let mut best: Option<ClusterThreshold> = None;
     for &p1 in p1_grid {
         let p_star = p_star_for_edge_prob(p1, row_pairs);
-        let table = LambdaTable::new(model.n_bits, p_star);
-        let lam = table.lambda(model.row_weight as u32, model.row_weight as u32);
+        let w = model.row_weight as u64;
+        let lam = hypergeom_tail_quantile(p_star, model.n_bits as u64, w, w) as u32;
         let p2 = model.pattern_edge_prob(lam, p_star);
         if p2 <= p1 {
             continue;

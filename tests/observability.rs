@@ -98,6 +98,7 @@ fn metric_keys_the_epoch_benchmark_reads_exist() {
         "search_candidates_total",
         "pairs_exact_total",
         "pairs_screened_total",
+        "lambda_quantiles_computed_total",
     ] {
         assert!(snap.counter(counter).is_some(), "counter {counter} missing");
     }
